@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.ml.base import Estimator, as_float_array
+from repro.ml.tree import _FlatTreeCache
 
 
 @dataclass
@@ -27,7 +28,7 @@ class RegressionNode:
         return self.feature is None
 
 
-class DecisionTreeRegressor(Estimator):
+class DecisionTreeRegressor(_FlatTreeCache, Estimator):
     """Least-squares CART regressor.
 
     Splits minimize the children's total squared error, computed with
@@ -137,23 +138,24 @@ class DecisionTreeRegressor(Estimator):
         return best[1], best[2]
 
     # ------------------------------------------------------------------
-    def _leaf_for(self, row: np.ndarray) -> RegressionNode:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
+    _node_payload = staticmethod(lambda node: node.node_id)
 
     def predict(self, X) -> np.ndarray:
         """Leaf value of each row."""
         self.check_fitted()
         X = as_float_array(X)
-        return np.array([self._leaf_for(row).value for row in X])
+        flat = self._flat()
+        # Values are read per call, not flattened: set_leaf_values
+        # rewrites them after fit.
+        values = np.array([node.value for node in flat.nodes])
+        return values[flat.apply(X)]
 
     def apply(self, X) -> np.ndarray:
         """Leaf id of each row (ids dense in [0, n_leaves_))."""
         self.check_fitted()
         X = as_float_array(X)
-        return np.array([self._leaf_for(row).node_id for row in X], dtype=np.int64)
+        flat = self._flat()
+        return flat.payload[flat.apply(X)]
 
     def set_leaf_values(self, values: dict[int, float]) -> None:
         """Overwrite leaf predictions (the boosting Newton step)."""

@@ -62,26 +62,135 @@ class TreeNode:
         return self.class_counts / total
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    proportions = counts / total
-    return float(1.0 - np.sum(proportions * proportions))
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of a 2-D class-count matrix."""
+    proportions = counts / counts.sum(axis=1, keepdims=True)
+    return 1.0 - np.sum(proportions * proportions, axis=1)
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    proportions = counts[counts > 0] / total
-    return float(-np.sum(proportions * np.log2(proportions)))
+def _entropy(counts: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a 2-D class-count matrix.
+
+    A row sums only its non-zero classes, in class order, as ``np.sum``
+    over the filtered 1-D row would: zero terms are moved behind the
+    others and cut off, so the pairwise summation groups the terms the
+    same way and the result is bit-identical.
+    """
+    present = counts > 0
+    proportions = counts / counts.sum(axis=1, keepdims=True)
+    logs = np.zeros_like(proportions)
+    np.log2(proportions, where=present, out=logs)
+    order = np.argsort(~present, axis=1, kind="stable")
+    terms = np.take_along_axis(proportions * logs, order, axis=1)
+    widths = present.sum(axis=1)
+    sums = np.empty(len(counts))
+    for width in np.unique(widths):
+        rows = widths == width
+        sums[rows] = np.sum(terms[rows, :width], axis=1)
+    return -sums
 
 
 _CRITERIA = {"gini": _gini, "entropy": _entropy}
 
 
-class DecisionTreeClassifier(Estimator, ClassifierMixin):
+def _last_record(
+    weighted: np.ndarray, best: float | None
+) -> tuple[int, float | None]:
+    """Replay the split scan's running minimum over one feature's splits.
+
+    Scanning positions in order, a position becomes the best when its
+    weighted impurity is below the best so far by more than ``1e-12``,
+    so the first of near-equal splits wins.  Such a position is below
+    every earlier one, so only the strict running minima need visiting.
+    Returns the index of the last position that became best (-1 if
+    none) and the resulting best value.
+    """
+    earlier = np.concatenate(([np.inf], np.minimum.accumulate(weighted)[:-1]))
+    minima = np.flatnonzero(weighted < earlier)
+    index = -1
+    for position, value in zip(minima.tolist(), weighted[minima].tolist()):
+        if best is None or value < best - 1e-12:
+            best, index = value, position
+    return index, best
+
+
+class _FlatTree:
+    """A fitted tree flattened to arrays, for routing many rows at once.
+
+    Nodes are numbered in preorder: ``nodes[n]`` is node number ``n``,
+    ``feature[n]`` is -1 at leaves, and ``payload[n]`` is
+    ``payload_of(nodes[n])``.
+    """
+
+    def __init__(self, root, payload_of):
+        self.root = root
+        self.nodes: list = []
+        links: list[tuple[int, float, int, int]] = []
+
+        def visit(node) -> int:
+            number = len(self.nodes)
+            self.nodes.append(node)
+            links.append((-1, 0.0, -1, -1))
+            if not node.is_leaf:
+                links[number] = (
+                    node.feature, node.threshold, visit(node.left), visit(node.right)
+                )
+            return number
+
+        visit(root)
+        feature, threshold, left, right = zip(*links)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.payload = np.array([payload_of(node) for node in self.nodes])
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Number of the leaf each row of ``X`` reaches.
+
+        Rows descend one level per step: a row goes left when
+        ``X[row, feature] <= threshold``, as in a per-row walk.
+        """
+        reached = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            at = reached[rows]
+            feature = self.feature[at]
+            inner = feature >= 0
+            rows, at, feature = rows[inner], at[inner], feature[inner]
+            go_left = X[rows, feature] <= self.threshold[at]
+            reached[rows] = np.where(go_left, self.left[at], self.right[at])
+        return reached
+
+
+class _FlatTreeCache:
+    """Lazily flattens ``root_``; the flat form is derived state.
+
+    It is rebuilt whenever ``root_`` is replaced (a refit) and is left
+    out of pickles, so a pickled tree is the same bytes before and
+    after it first predicts.
+    """
+
+    root_: object
+
+    @staticmethod
+    def _node_payload(node):
+        raise NotImplementedError
+
+    def _flat(self) -> _FlatTree:
+        flat = self.__dict__.get("_flat_tree")
+        if flat is None or flat.root is not self.root_:
+            flat = _FlatTree(self.root_, self._node_payload)
+            self._flat_tree = flat
+        return flat
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_flat_tree", None)
+        return state
+
+
+class DecisionTreeClassifier(_FlatTreeCache, Estimator, ClassifierMixin):
     """CART classifier.
 
     Parameters
@@ -164,12 +273,14 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
         self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
     ) -> TreeNode:
         counts = np.bincount(y, minlength=len(self.classes_)).astype(np.float64)
-        impurity_fn = _CRITERIA[self.criterion]
+        # A child is empty when a split's midpoint threshold rounds onto
+        # the larger of two adjacent floats; it becomes a pure leaf.
+        impurity = _CRITERIA[self.criterion](counts[np.newaxis])[0] if len(y) else 0.0
         node = TreeNode(
             n_samples=len(y),
             class_counts=counts,
             depth=depth,
-            impurity=impurity_fn(counts),
+            impurity=float(impurity),
         )
         if (
             node.impurity == 0.0
@@ -198,7 +309,8 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
         n_classes = len(self.classes_)
         impurity_fn = _CRITERIA[self.criterion]
         candidates = rng.permutation(n_features)[: self._n_split_features()]
-        best: tuple[float, int, float] | None = None
+        best: tuple[int, float] | None = None
+        best_score: float | None = None
         one_hot = np.zeros((n_samples, n_classes))
         one_hot[np.arange(n_samples), y] = 1.0
         for feature in candidates:
@@ -217,35 +329,27 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
             ]
             if positions.size == 0:
                 continue
-            for position in positions:
-                left_counts = cumulative[position]
-                right_counts = parent_counts - left_counts
-                n_left = position + 1
-                n_right = n_samples - n_left
-                weighted = (
-                    n_left * impurity_fn(left_counts)
-                    + n_right * impurity_fn(right_counts)
-                ) / n_samples
-                if best is None or weighted < best[0] - 1e-12:
-                    threshold = (
-                        sorted_values[position] + sorted_values[position + 1]
-                    ) / 2.0
-                    best = (weighted, int(feature), float(threshold))
+            left_counts = cumulative[positions]
+            n_left = positions + 1
+            weighted = (
+                n_left * impurity_fn(left_counts)
+                + (n_samples - n_left) * impurity_fn(parent_counts - left_counts)
+            ) / n_samples
+            index, best_score = _last_record(weighted, best_score)
+            if index >= 0:
+                position = positions[index]
+                threshold = (sorted_values[position] + sorted_values[position + 1]) / 2.0
+                best = (int(feature), float(threshold))
         if best is None:
             return None
         # Note: a zero-gain split is still taken (children are strictly
         # smaller, so recursion terminates); refusing it would make the
         # greedy tree blind to XOR-like interactions.
-        _, feature, threshold = best
+        feature, threshold = best
         return feature, threshold, X[:, feature] <= threshold
 
     # ------------------------------------------------------------------
-    def _leaf_for(self, row: np.ndarray) -> TreeNode:
-        node = self.root_
-        assert node is not None
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
+    _node_payload = staticmethod(TreeNode.proba)
 
     def predict_proba(self, X) -> np.ndarray:
         """Class-distribution predictions, one row per sample."""
@@ -255,7 +359,8 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
             raise ValueError(
                 f"X has {X.shape[1]} features, tree was fit on {self.n_features_}"
             )
-        return np.vstack([self._leaf_for(row).proba() for row in X])
+        flat = self._flat()
+        return flat.payload[flat.apply(X)]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -45,6 +45,7 @@ registry's atomic counters, and the tracer's atomic span ids.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -64,6 +65,8 @@ from repro.simjoin.filters import validate_measure
 from repro.simjoin.joins import KERNELS
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer, WhitespaceTokenizer
+
+logger = logging.getLogger("repro.serve")
 
 
 @dataclass(frozen=True)
@@ -381,15 +384,23 @@ class MatchServer:
             # the payoff of the batching queue — the base segment is
             # probed once, columnar, for every request in the batch.
             # Per-request error isolation is preserved by falling back
-            # to the scalar per-request path if the batched call fails.
+            # to the scalar per-request path if the batched call fails;
+            # the fallback is counted and logged, never silent.
             searched = None
             if len(batch) > 1:
                 try:
                     searched = self._live.search_batch(
                         [request.value for request in batch]
                     )
-                except Exception:
-                    searched = None
+                except Exception as exc:
+                    registry.counter(
+                        "serve_batch_fallbacks_total", reason=type(exc).__name__
+                    ).inc()
+                    logger.warning(
+                        "batched probe of %d requests failed; re-probing each",
+                        len(batch),
+                        exc_info=True,
+                    )
             for position, request in enumerate(batch):
                 try:
                     if searched is not None:

@@ -15,34 +15,44 @@ class Levenshtein:
     """Classic edit distance with unit insert/delete/substitute costs."""
 
     def get_raw_score(self, left: str, right: str) -> int:
-        """Return the edit distance between two strings."""
+        """Return the edit distance between two strings.
+
+        Myers' bit-parallel algorithm in Hyyrö's formulation: bit ``i`` of
+        ``plus``/``minus`` holds whether cell ``i`` of the current DP
+        column is one more/less than the cell above it, so one text
+        character advances a whole column with a handful of integer
+        operations.  The shorter string is the pattern; Python ints have
+        no width limit, so long patterns need no blocking.  The result
+        equals the classic two-row dynamic program exactly.
+        """
         if left == right:
             return 0
+        if len(left) > len(right):
+            left, right = right, left
         if not left:
             return len(right)
-        if not right:
-            return len(left)
-        # Two-row dynamic program; keep the shorter string as the row.
-        if len(left) < len(right):
-            left, right = right, left
-        previous = list(range(len(right) + 1))
-        for i, ch_left in enumerate(left):
-            current = [i + 1]
-            append = current.append
-            prev_diag = previous[0]
-            for j, ch_right in enumerate(right, start=1):
-                prev_j = previous[j]
-                cost = prev_diag if ch_left == ch_right else prev_diag + 1
-                above = prev_j + 1
-                if above < cost:
-                    cost = above
-                left_cell = current[j - 1] + 1
-                if left_cell < cost:
-                    cost = left_cell
-                append(cost)
-                prev_diag = prev_j
-            previous = current
-        return previous[-1]
+        match_masks: dict[str, int] = {}
+        for i, ch in enumerate(left):
+            match_masks[ch] = match_masks.get(ch, 0) | (1 << i)
+        full = (1 << len(left)) - 1
+        last = 1 << (len(left) - 1)
+        plus, minus = full, 0
+        distance = len(left)
+        for ch in right:
+            eq = match_masks.get(ch, 0)
+            xv = eq | minus
+            xh = (((eq & plus) + plus) ^ plus) | eq
+            h_plus = minus | (full & ~(xh | plus))
+            h_minus = plus & xh
+            if h_plus & last:
+                distance += 1
+            elif h_minus & last:
+                distance -= 1
+            h_plus = (h_plus << 1) | 1
+            h_minus <<= 1
+            plus = full & (h_minus | ~(xv | h_plus))
+            minus = h_plus & xv
+        return distance
 
     def get_sim_score(self, left: str, right: str) -> float:
         """1 - distance / max_length, with two empty strings scoring 1."""

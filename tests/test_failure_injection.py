@@ -159,3 +159,51 @@ class TestInputFailures:
 
         with pytest.raises((SystemExit, FileNotFoundError)):
             main(["profile", "/nonexistent/file.csv"])
+
+
+class TestServeFailures:
+    def test_failed_batch_probe_is_counted_and_answers_stay_correct(
+        self, monkeypatch, caplog
+    ):
+        from repro.index import LiveIndex, use_index_store
+        from repro.obs import use_registry
+        from repro.serve import MatchServer, ServeConfig
+
+        corpus = Table({
+            "id": [f"c{i}" for i in range(40)],
+            "v": [f"name {i % 7} street {i % 5}" for i in range(40)],
+        })
+        queries = [f"name {i % 7} street {i % 3}" for i in range(12)] + ["", "zzz"]
+        with use_index_store():
+            config = ServeConfig(threshold=0.4, max_batch=1, top_k=None)
+            with MatchServer(corpus, "id", "v", config=config) as server:
+                expected = [server.match(q, timeout=30).candidates for q in queries]
+
+        original = LiveIndex.search_batch
+        calls = []
+
+        def fail_first_batch(index, values):
+            calls.append(len(values))
+            if len(calls) == 1:
+                raise RuntimeError("injected batch-probe failure")
+            return original(index, values)
+
+        monkeypatch.setattr(LiveIndex, "search_batch", fail_first_batch)
+        with use_registry() as registry, use_index_store():
+            config = ServeConfig(threshold=0.4, max_batch=8, workers=0, top_k=None)
+            with MatchServer(corpus, "id", "v", config=config) as server:
+                pending = [server.submit(q) for q in queries]
+                with caplog.at_level("WARNING", logger="repro.serve"):
+                    server.process_pending()
+                served = [p.result().candidates for p in pending]
+        # Two batches (8 + 6): the first fell back to per-request probes.
+        assert calls == [8, 6]
+        assert served == expected
+        fallbacks = {
+            labels: value
+            for (name, labels), value in registry.counters().items()
+            if name == "serve_batch_fallbacks_total"
+        }
+        assert list(fallbacks.values()) == [1]
+        assert dict(next(iter(fallbacks))) == {"reason": "RuntimeError"}
+        assert "re-probing each" in caplog.text

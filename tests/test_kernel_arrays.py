@@ -20,6 +20,7 @@ import repro.perf.arrays as arrays_module
 from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
 from repro.index.store import get_index_store
+from repro.obs import use_registry
 from repro.perf.arrays import (
     HAVE_ARRAYS,
     batch_cosine,
@@ -260,18 +261,23 @@ class TestServerEquivalence:
         )
         queries = [" ".join(WORDS[i % 7 : i % 7 + 2]) for i in range(30)] + ["", "qqq"]
         results = {}
-        for kernel, max_batch in (("dict", 1), ("array", 16)):
-            config = ServeConfig(
-                threshold=0.4, kernel=kernel, max_batch=max_batch, workers=0
-            )
-            with MatchServer(corpus, "id", "v", config=config) as server:
-                pending = [server.submit(q) for q in queries]
-                server.process_pending()
-                results[kernel] = [
-                    (p.result().candidates, p.result().n_candidates)
-                    for p in pending
-                ]
+        with use_registry() as registry:
+            for kernel, max_batch in (("dict", 1), ("array", 16)):
+                config = ServeConfig(
+                    threshold=0.4, kernel=kernel, max_batch=max_batch, workers=0
+                )
+                with MatchServer(corpus, "id", "v", config=config) as server:
+                    pending = [server.submit(q) for q in queries]
+                    server.process_pending()
+                    results[kernel] = [
+                        (p.result().candidates, p.result().n_candidates)
+                        for p in pending
+                    ]
         assert results["array"] == results["dict"]
+        # The batched probe answered: no batch fell back to per-request probes.
+        assert not any(
+            name == "serve_batch_fallbacks_total" for name, _ in registry.counters()
+        )
 
     def test_server_bulk_upsert_delete(self):
         from repro.serve import MatchServer, ServeConfig

@@ -51,6 +51,15 @@ def make_queries(n: int = 40, seed: int = 1) -> list[str]:
     return queries
 
 
+def batch_fallbacks(registry) -> float:
+    """Batches whose columnar probe failed and were re-probed per request."""
+    return sum(
+        value
+        for (name, _), value in registry.counters().items()
+        if name == "serve_batch_fallbacks_total"
+    )
+
+
 def batch_reference(
     corpus: Table, queries: list[str], tokenizer, measure: str, threshold: float
 ) -> list[list[tuple]]:
@@ -87,7 +96,7 @@ class TestServedEqualsBatch:
     def test_serial_queries_byte_identical(self, tokenizer, measure, threshold):
         corpus = make_corpus()
         queries = make_queries()
-        with use_index_store():
+        with use_registry() as registry, use_index_store():
             server = MatchServer(
                 corpus, "id", "v", tokenizer=tokenizer,
                 config=ServeConfig(measure=measure, threshold=threshold, top_k=None),
@@ -96,6 +105,7 @@ class TestServedEqualsBatch:
                 served = [server.match(q).candidates for q in queries]
             expected = batch_reference(corpus, queries, tokenizer, measure, threshold)
         assert served == expected
+        assert batch_fallbacks(registry) == 0
 
     def test_merge_kernel_matches_mask_kernel(self):
         corpus = make_corpus()
@@ -140,6 +150,7 @@ class TestServedEqualsBatch:
                 with ThreadPoolExecutor(max_workers=16) as pool:
                     results = list(pool.map(ask, enumerate(queries)))
             assert [r.candidates for r in results] == expected
+            assert batch_fallbacks(registry) == 0
             served = sum(
                 value
                 for (name, _), value in registry.counters().items()
