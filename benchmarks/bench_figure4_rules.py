@@ -27,7 +27,6 @@ from repro.features import (
     FeatureTable,
     extract_feature_vecs,
     feature_matrix,
-    get_features_for_blocking,
     make_exact_feature,
 )
 from repro.ml import DecisionTreeClassifier

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 from collections import defaultdict
 
@@ -24,6 +25,7 @@ from _report import format_table, report
 
 from repro.datasets.vocab import CITIES, FIRST_NAMES, LAST_NAMES
 from repro.perf.kernels import BOUND_EPS
+import repro.simjoin.joins as joins
 from repro.simjoin import naive_set_sim_join, set_sim_join
 from repro.simjoin.filters import (
     TokenOrder,
@@ -235,15 +237,20 @@ def test_simjoin_kernel_speedup(benchmark):
         assert rows[-1]["_parallel_speedup"] > 0.7
 
 
-def test_simjoin_kernels_smoke():
-    """Fast CI check: kernel paths agree with the seed join and each other."""
+def test_simjoin_kernels_smoke(monkeypatch):
+    """Fast CI check: kernel paths agree with the seed join and each other.
+
+    The dict kernel verifies by bitmask up to ``MASK_UNIVERSE_MAX`` tokens
+    and by merge scan above; moving that limit runs each path.
+    """
     ltable, rtable = make_tables(200)
     baseline = _seed_set_sim_join(ltable, rtable, TOKENIZER, "jaccard", 0.6)
     serial = None
-    for kernel in ("mask", "merge"):
+    for mask_universe_max in (sys.maxsize, -1):
+        monkeypatch.setattr(joins, "MASK_UNIVERSE_MAX", mask_universe_max)
         result = set_sim_join(
             ltable, rtable, "id", "id", "v", "v", TOKENIZER, "jaccard", 0.6,
-            kernel=kernel,
+            kernel="dict",
         )
         assert _pairs(result) == _pairs(baseline)
         serial = result

@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 import time
 
-import networkx as nx
 from _report import format_table, report
 from conftest import once
 
@@ -27,6 +26,7 @@ from repro.datasets import DirtinessConfig, make_em_dataset
 from repro.datasets.entities import restaurant
 from repro.index import use_index_store
 from repro.pipeline import StreamingDeduper
+from repro.postprocess import duplicate_groups
 from repro.simjoin import set_sim_join
 from repro.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
@@ -59,12 +59,10 @@ def batch_clusters(records: list[tuple[str, str]]) -> tuple[set, float]:
         table, table, "id", "id", "value", "value",
         WhitespaceTokenizer(return_set=True), "jaccard", THRESHOLD,
     )
-    graph = nx.Graph()
-    graph.add_nodes_from(table.column("id"))
-    for l_id, r_id in zip(joined.column("l_id"), joined.column("r_id")):
-        if l_id != r_id:
-            graph.add_edge(l_id, r_id)
-    components = {frozenset(c) for c in nx.connected_components(graph)}
+    # A self pair (k, k) per record keeps unmatched records as singletons.
+    pairs = [(key, key) for key in table.column("id")]
+    pairs += zip(joined.column("l_id"), joined.column("r_id"))
+    components = {frozenset(c) for c in duplicate_groups(pairs)}
     return components, time.perf_counter() - started
 
 

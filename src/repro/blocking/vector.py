@@ -71,10 +71,7 @@ class VectorBlocker(Blocker):
         time with scalar sparse dots; ``"array"`` batches signature
         computation and runs verification as columnar cosine
         accumulations (:mod:`repro.perf.arrays`), byte-identical scores;
-        ``"auto"`` (default) picks by corpus size.  ``"mask"``/``"merge"``
-        are accepted for interface symmetry with
-        :func:`~repro.simjoin.joins.set_sim_join` and behave as
-        ``"dict"`` here.
+        ``"auto"`` (default) picks by corpus size.
 
     Commutativity: with ``top_k=None`` the pair decision (cosine in the
     joint space of the two *base tables* >= threshold) is independent of

@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=64, help="micro-batch size cap")
     p.add_argument(
         "--kernel",
-        choices=["auto", "dict", "array", "mask", "merge"],
+        choices=["auto", "dict", "array"],
         default="auto",
         help="probe backend: columnar batched kernels (array) vs scalar (dict)",
     )

@@ -4,9 +4,11 @@ CloudMatcher 1.0's key idea (Section 5.1): "break each submitted EM
 workflow into multiple DAG fragments, where each fragment performs only
 one kind of task, e.g., interaction with the user, batch processing of
 data, crowdsourcing ... then execute each fragment on an appropriate
-execution engine".  This module builds the workflow DAG (networkx) and
-computes the same-kind fragment decomposition plus the fragment-level DAG
-that the metamanager schedules.
+execution engine".  This module builds the workflow DAG (acyclic by
+construction: a call may only run after calls added before it) and
+computes the same-kind fragment decomposition, with a union-find, plus
+the fragment-level DAG (a plain successor map) that the metamanager
+schedules.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from repro.cloud.services import Service, ServiceKind, ServiceRegistry
 from repro.exceptions import WorkflowError
+from repro.postprocess.clustering import UnionFind
 from repro.runtime import OperatorGraph
 
 if TYPE_CHECKING:
@@ -37,12 +38,17 @@ class ServiceCall:
 
 
 class EMWorkflow:
-    """A DAG of service calls for one EM task."""
+    """A DAG of service calls for one EM task.
+
+    Each call records the tuple of calls it runs after, and ``after=`` may
+    name only calls added earlier, so the graph is acyclic by construction
+    (the same guarantee :class:`~repro.runtime.OperatorGraph` gives).
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self.graph: "nx.DiGraph" = nx.DiGraph()
         self._calls: dict[str, ServiceCall] = {}
+        self._predecessors: dict[str, tuple[str, ...]] = {}
 
     def add_call(
         self, node_id: str, service: Service, after: list[str] | None = None
@@ -50,23 +56,33 @@ class EMWorkflow:
         """Add a service call, depending on the given predecessor nodes."""
         if node_id in self._calls:
             raise WorkflowError(f"duplicate workflow node {node_id!r}")
-        call = ServiceCall(node_id, service)
-        self._calls[node_id] = call
-        self.graph.add_node(node_id)
-        for predecessor in after or []:
+        predecessors = tuple(dict.fromkeys(after or ()))
+        for predecessor in predecessors:
             if predecessor not in self._calls:
                 raise WorkflowError(f"unknown predecessor {predecessor!r}")
-            self.graph.add_edge(predecessor, node_id)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise WorkflowError("workflow graph must stay acyclic")
+        call = ServiceCall(node_id, service)
+        self._calls[node_id] = call
+        self._predecessors[node_id] = predecessors
         return call
 
     def call(self, node_id: str) -> ServiceCall:
         return self._calls[node_id]
 
+    def predecessors(self, node_id: str) -> tuple[str, ...]:
+        """The calls ``node_id`` runs after, as given to :meth:`add_call`."""
+        return self._predecessors[node_id]
+
+    def successors(self) -> dict[str, list[str]]:
+        """Successor map over every call, both levels in insertion order."""
+        successors: dict[str, list[str]] = {node: [] for node in self._calls}
+        for node, predecessors in self._predecessors.items():
+            for predecessor in predecessors:
+                successors[predecessor].append(node)
+        return successors
+
     def topological_calls(self) -> list[ServiceCall]:
-        """All calls in a valid execution order."""
-        return [self._calls[node] for node in nx.topological_sort(self.graph)]
+        """All calls in a valid execution order (generation by generation)."""
+        return [self._calls[node] for node in _generation_order(self.successors())]
 
     def to_runtime_graph(self, context: "WorkflowContext") -> OperatorGraph:
         """Compile the whole workflow to a runtime operator graph.
@@ -81,7 +97,7 @@ class EMWorkflow:
             graph.add(
                 call.node_id,
                 _service_operator(call, context),
-                deps=tuple(sorted(self.graph.predecessors(call.node_id))),
+                deps=tuple(sorted(self.predecessors(call.node_id))),
                 description=call.service.description,
                 checkpoint=False,  # services write undeclared context slots
             )
@@ -128,9 +144,7 @@ class Fragment:
                 _service_operator(call, context),
                 deps=tuple(
                     sorted(
-                        p
-                        for p in self.workflow.graph.predecessors(call.node_id)
-                        if p in members
+                        p for p in self.workflow.predecessors(call.node_id) if p in members
                     )
                 ),
                 description=call.service.description,
@@ -145,63 +159,75 @@ class Fragment:
         )
 
 
-def decompose_fragments(workflow: EMWorkflow) -> tuple[list[Fragment], "nx.DiGraph"]:
+def _generation_order(successors: dict[str, list[str]]) -> list[str] | None:
+    """Kahn's algorithm in generations; ``None`` when a cycle remains.
+
+    The first generation is every node without predecessors, in map
+    order; each later one lists the nodes the previous generation freed,
+    in the order they were freed.  A FIFO queue yields exactly that order,
+    so fragments that become ready together keep their map order.
+    """
+    indegree = dict.fromkeys(successors, 0)
+    for targets in successors.values():
+        for target in targets:
+            indegree[target] += 1
+    order = [node for node, degree in indegree.items() if degree == 0]
+    for node in order:  # the queue grows while it is walked
+        for target in successors[node]:
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                order.append(target)
+    return order if len(order) == len(indegree) else None
+
+
+def decompose_fragments(
+    workflow: EMWorkflow,
+) -> tuple[list[Fragment], dict[str, list[str]]]:
     """Split a workflow into same-kind fragments plus the fragment DAG.
 
-    Fragments are the connected components of the subgraph induced by
-    edges joining nodes of the same kind; the fragment DAG inherits every
-    cross-fragment edge.  Node order inside a fragment follows the
-    workflow's topological order, so a fragment is executable as a unit
-    once all its external predecessors have finished.
+    Fragments are the connected components (one :class:`UnionFind`) of the
+    subgraph of edges joining nodes of the same kind, numbered in the
+    order their first node was added; the fragment DAG, a successor map,
+    inherits every cross-fragment edge.  Node order inside a fragment
+    follows the workflow's topological order, so a fragment is executable
+    as a unit once all its external predecessors have finished.  Fragments
+    are returned in generation order of the fragment DAG.
     """
-    graph = workflow.graph
-    same_kind = nx.Graph()
-    same_kind.add_nodes_from(graph.nodes)
-    for source, target in graph.edges:
-        if workflow.call(source).kind == workflow.call(target).kind:
-            same_kind.add_edge(source, target)
+    successors = workflow.successors()
+    position = {node: i for i, node in enumerate(_generation_order(successors))}
 
-    node_to_fragment: dict[str, str] = {}
-    fragments: dict[str, Fragment] = {}
-    topo_order = {node: i for i, node in enumerate(nx.topological_sort(graph))}
-    for index, component in enumerate(nx.connected_components(same_kind)):
-        nodes = sorted(component, key=topo_order.__getitem__)
-        fragment_id = f"{workflow.name}/f{index}"
-        fragment = Fragment(
-            fragment_id,
-            workflow,
-            workflow.call(nodes[0]).kind,
-            [workflow.call(node) for node in nodes],
+    def split(groups, name):
+        fragments: dict[str, Fragment] = {}
+        fragment_of: dict[str, str] = {}
+        for index, group in enumerate(groups):
+            nodes = sorted(group, key=position.__getitem__)
+            fragment_id = f"{workflow.name}/{name(index, nodes[0])}"
+            calls = [workflow.call(node) for node in nodes]
+            fragments[fragment_id] = Fragment(fragment_id, workflow, calls[0].kind, calls)
+            fragment_of.update(dict.fromkeys(nodes, fragment_id))
+        dag: dict[str, list[str]] = {fragment_id: [] for fragment_id in fragments}
+        for source, targets in successors.items():
+            for target in targets:
+                f_source, f_target = fragment_of[source], fragment_of[target]
+                if f_source != f_target and f_target not in dag[f_source]:
+                    dag[f_source].append(f_target)
+        return fragments, dag, _generation_order(dag)
+
+    components = UnionFind()
+    for node in successors:
+        components.add(node)
+    for source, targets in successors.items():
+        for target in targets:
+            if workflow.call(source).kind == workflow.call(target).kind:
+                components.union(source, target)
+    fragments, dag, order = split(components.groups(), lambda index, _: f"f{index}")
+    if order is None:
+        # Merging same-kind components can create cycles at the fragment
+        # level; fall back to singleton fragments.
+        fragments, dag, order = split(
+            ([node] for node in successors), lambda _, node: f"n_{node}"
         )
-        fragments[fragment_id] = fragment
-        for node in nodes:
-            node_to_fragment[node] = fragment_id
-
-    fragment_dag: "nx.DiGraph" = nx.DiGraph()
-    fragment_dag.add_nodes_from(fragments)
-    for source, target in graph.edges:
-        f_source = node_to_fragment[source]
-        f_target = node_to_fragment[target]
-        if f_source != f_target:
-            fragment_dag.add_edge(f_source, f_target)
-    if not nx.is_directed_acyclic_graph(fragment_dag):
-        # Merging same-kind components can in principle create cycles at
-        # the fragment level; fall back to singleton fragments.
-        fragments = {}
-        fragment_dag = nx.DiGraph()
-        for node in graph.nodes:
-            fragment_id = f"{workflow.name}/n_{node}"
-            fragments[fragment_id] = Fragment(
-                fragment_id, workflow, workflow.call(node).kind, [workflow.call(node)]
-            )
-            node_to_fragment[node] = fragment_id
-        fragment_dag.add_nodes_from(fragments)
-        for source, target in graph.edges:
-            fragment_dag.add_edge(node_to_fragment[source], node_to_fragment[target])
-    ordered = [
-        fragments[fragment_id] for fragment_id in nx.topological_sort(fragment_dag)
-    ]
-    return ordered, fragment_dag
+    return [fragments[fragment_id] for fragment_id in order], dag
 
 
 def build_falcon_workflow(

@@ -28,8 +28,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import networkx as nx
-
 from repro.cloud.context import WorkflowContext
 from repro.cloud.dag import EMWorkflow, Fragment, decompose_fragments
 from repro.cloud.services import ServiceKind
@@ -134,7 +132,7 @@ class WorkflowRun:
     workflow: EMWorkflow
     context: WorkflowContext
     fragments: list[Fragment] = field(default_factory=list)
-    fragment_dag: "nx.DiGraph | None" = None
+    fragment_dag: dict[str, list[str]] = field(default_factory=dict)
     completed: set[str] = field(default_factory=set)
     finish_time: float = 0.0
     _by_id: dict[str, Fragment] = field(default_factory=dict, repr=False)
@@ -148,10 +146,10 @@ class WorkflowRun:
         self._position = {
             fragment.fragment_id: i for i, fragment in enumerate(self.fragments)
         }
-        self._remaining = {
-            fragment_id: self.fragment_dag.in_degree(fragment_id)
-            for fragment_id in self._by_id
-        }
+        self._remaining = dict.fromkeys(self._by_id, 0)
+        for successors in self.fragment_dag.values():
+            for successor in successors:
+                self._remaining[successor] += 1
         self._ready = [
             fragment.fragment_id
             for fragment in self.fragments  # already topologically ordered
@@ -171,7 +169,7 @@ class WorkflowRun:
         if fragment_id in self._ready:
             self._ready.remove(fragment_id)
         newly_ready = []
-        for successor in self.fragment_dag.successors(fragment_id):
+        for successor in self.fragment_dag[fragment_id]:
             self._remaining[successor] -= 1
             if self._remaining[successor] == 0 and successor not in self.completed:
                 newly_ready.append(successor)

@@ -130,7 +130,9 @@ def _sample_pairs(
     for j in probe_positions:
         tokens = _row_tokens(dataset.rtable, r_columns, int(j))
         counts: dict[int, int] = defaultdict(int)
-        for token in tokens:
+        # Sorted so the count ties below break the same way under every
+        # hash seed.
+        for token in sorted(tokens):
             # Skip stop-word-like tokens with huge posting lists.
             posting = index.get(token, ())
             if len(posting) <= max(20, dataset.ltable.num_rows // 20):

@@ -134,13 +134,10 @@ class AnnIndex:
         Per vector the ``n_planes`` accumulators update with one numpy
         multiply-add per bucket instead of a Python loop over planes —
         same buckets, same ascending order, same float64 operations, so
-        the band keys equal :meth:`signature`'s exactly.  Falls back to
-        the scalar path without numpy.
+        the band keys equal :meth:`signature`'s exactly.
         """
-        from repro.perf.arrays import HAVE_ARRAYS, np
+        from repro.perf.arrays import np
 
-        if not HAVE_ARRAYS:
-            return [self.signature(vector) for vector in vectors]
         n_planes = self.n_planes
         cache = self._np_signs
         signatures: list[list[tuple[int, int]]] = []
@@ -213,10 +210,8 @@ class AnnIndex:
 
     def _corpus_columns(self):
         """Lazy bucket-major view of the corpus for batched cosine."""
-        from repro.perf.arrays import HAVE_ARRAYS, SparseColumns
+        from repro.perf.arrays import SparseColumns
 
-        if not HAVE_ARRAYS:
-            return None
         if self._columns is None:
             self._columns = SparseColumns(self.vectors)
         return self._columns
@@ -237,8 +232,6 @@ class AnnIndex:
         equals :meth:`search` on that query exactly.
         """
         columns = self._corpus_columns()
-        if columns is None:
-            return [self.search(vector, threshold, top_k) for vector in vectors]
         from repro.perf.arrays import batch_cosine
 
         results: list[list[tuple[int, float]]] = []

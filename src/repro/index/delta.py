@@ -246,9 +246,8 @@ class LiveIndex:
         tc = store.tokenized_column(view, self.key, self.column, self.tokenizer)
         encoding = store.pair_encoding(tc, tc)
         index = store.prefix_index(encoding, self.measure, self.threshold).index
-        use_masks = self.kernel == "mask" or (
-            self.kernel in ("auto", "dict")
-            and len(encoding.universe) <= MASK_UNIVERSE_MAX
+        use_masks = (
+            self.kernel != "array" and len(encoding.universe) <= MASK_UNIVERSE_MAX
         )
         masks = store.right_masks(encoding) if use_masks else None
         positions: dict[Any, int] = {}
@@ -266,12 +265,10 @@ class LiveIndex:
         """The base segment's lazy :class:`~repro.perf.arrays.ArrayIndex`.
 
         Built through the store on first batched probe (``None`` when
-        the array stack is unavailable or the base is empty).
+        the base is empty).
         """
-        from repro.perf.arrays import HAVE_ARRAYS
-
         base = self._base
-        if base.array_index is None and HAVE_ARRAYS and base.enc:
+        if base.array_index is None and base.enc:
             base.array_index = self._store.array_index(
                 base.encoding, self.measure, self.threshold
             )

@@ -430,16 +430,12 @@ class IndexStore:
     def pair_arrays(self, encoding: PairEncoding, side: str = "left"):
         """One side of a pair encoding as a CSR token-incidence matrix.
 
-        Returns a :class:`repro.perf.arrays.ArrayRecords`; requires the
-        array stack (numpy + scipy) and raises
-        :class:`~repro.exceptions.ConfigurationError` without it, so the
-        dict chain never pays the import.
+        Returns a :class:`repro.perf.arrays.ArrayRecords`.
         """
         from repro.perf import arrays
 
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        arrays.require_arrays()
         digest = combine("arrays", encoding.key, side)
 
         def build():
@@ -466,7 +462,6 @@ class IndexStore:
         """
         from repro.perf import arrays
 
-        arrays.require_arrays()
         digest = combine(
             "arrayindex", encoding.key, side, measure, threshold, use_prefix_filter
         )

@@ -18,7 +18,6 @@ mechanisms every hot path shares:
 """
 
 from repro.perf.arrays import (
-    HAVE_ARRAYS,
     ArrayIndex,
     ArrayRecords,
     KernelPolicy,
@@ -50,7 +49,6 @@ from repro.perf.parallel import (
 from repro.perf.tokens import TokenUniverse
 
 __all__ = [
-    "HAVE_ARRAYS",
     "MASK_UNIVERSE_MAX",
     "ArrayIndex",
     "ArrayRecords",

@@ -32,11 +32,6 @@ kernels), and sparse products are re-sorted (``sort_indices``) before
 ordered emission because scipy does not guarantee sorted indices on
 matmul results.
 
-The backend is optional at runtime: without ``numpy``/``scipy`` the
-module imports cleanly, ``HAVE_ARRAYS`` is ``False``, ``kernel="auto"``
-always resolves to the dict backend, and ``kernel="array"`` raises
-:class:`~repro.exceptions.ConfigurationError`.
-
 Observability: callers report batched kernel calls through
 :func:`observe_kernel_batch` (``kernel_batch_calls_total{op}``,
 ``kernel_batch_rows_total{op}``, ``kernel_batch_candidates_total{op}``,
@@ -53,19 +48,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+from scipy import sparse as _sparse
+
 from repro.exceptions import ConfigurationError
 from repro.obs import get_registry
 from repro.perf.kernels import BOUND_EPS, ceil_bound
 
-try:  # pragma: no cover - exercised implicitly by every array test
-    import numpy as np
-    from scipy import sparse as _sparse
-
-    HAVE_ARRAYS = True
-except ImportError:  # pragma: no cover - the container bakes both in
-    np = None
-    _sparse = None
-    HAVE_ARRAYS = False
 
 #: The concrete backends a kernel request can resolve to.
 ARRAY_BACKENDS = ("dict", "array")
@@ -74,15 +63,6 @@ ARRAY_BACKENDS = ("dict", "array")
 #: Chunking the probe side bounds the worst case where many rows share
 #: hot tokens and the overlap matmul densifies.
 CHUNK_TARGET_NNZ = 1 << 22
-
-
-def require_arrays() -> None:
-    """Raise when the array backend was requested but cannot run."""
-    if not HAVE_ARRAYS:
-        raise ConfigurationError(
-            "kernel='array' requires numpy and scipy; neither is importable "
-            "in this environment (use kernel='dict' or kernel='auto')"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -151,24 +131,15 @@ def choose_backend(
 ) -> str:
     """Resolve a public ``kernel=`` knob to ``"dict"`` or ``"array"``.
 
-    ``"mask"``/``"merge"`` (the legacy dict-kernel variants) and
-    ``"dict"`` pin the dict backend; ``"array"`` requires the array
-    stack; ``"auto"`` follows the plan override when set, otherwise the
-    policy thresholds.
+    ``"dict"`` and ``"array"`` pin their backend; ``"auto"`` follows the
+    plan override when set, otherwise the policy thresholds.
     """
-    if kernel in ("dict", "mask", "merge"):
-        return "dict"
-    if kernel == "array":
-        require_arrays()
-        return "array"
-    override = _KERNEL_OVERRIDE
-    if override == "dict":
-        return "dict"
-    if override == "array" and HAVE_ARRAYS:
-        return "array"
+    if kernel in ARRAY_BACKENDS:
+        return kernel
+    if _KERNEL_OVERRIDE is not None:
+        return _KERNEL_OVERRIDE
     if (
-        HAVE_ARRAYS
-        and n_probe_rows >= policy.min_probe_rows
+        n_probe_rows >= policy.min_probe_rows
         and n_index_rows >= policy.min_index_rows
     ):
         return "array"
@@ -311,7 +282,6 @@ def build_array_records(
     key: str, records: Sequence[tuple[Any, tuple[int, ...]]], dim: int
 ) -> ArrayRecords:
     """Materialize ``[(row_key, sorted ids)]`` as an :class:`ArrayRecords`."""
-    require_arrays()
     n_rows = len(records)
     width = max(dim, 1)
     keys = [row_key for row_key, _ in records]
@@ -358,7 +328,6 @@ def build_array_index(
     use_prefix_filter: bool = True,
 ) -> ArrayIndex:
     """Prepare one side's :class:`ArrayRecords` as the probed corpus."""
-    require_arrays()
     full_t = arrays.matrix.T.tocsr()
     full_t.sort_indices()
     if use_prefix_filter:
@@ -379,7 +348,6 @@ def build_probe_matrix(rows: Sequence[Sequence[int]], dim: int):
     dict probe could match, and prefix slicing over it matches the dict
     prefix minus its no-op tail.
     """
-    require_arrays()
     width = max(dim, 1)
     kept = [ids[: bisect_left(ids, width)] for ids in rows]
     counts = np.fromiter((len(ids) for ids in kept), dtype=np.int64, count=len(kept))
@@ -547,7 +515,6 @@ class SparseColumns:
     __slots__ = ("n_rows", "columns")
 
     def __init__(self, vectors: Sequence[dict]):
-        require_arrays()
         self.n_rows = len(vectors)
         staged: dict[int, tuple[list, list]] = {}
         for position, vector in enumerate(vectors):

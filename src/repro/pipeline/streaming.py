@@ -36,50 +36,9 @@ from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
 from repro.index.store import IndexStore
 from repro.obs import get_registry
+from repro.postprocess.clustering import UnionFind
 from repro.table.table import Table
 from repro.text.tokenizers import Tokenizer
-
-
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self):
-        self._parent: dict[Any, Any] = {}
-        self._size: dict[Any, int] = {}
-
-    def add(self, item: Any) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._size[item] = 1
-
-    def find(self, item: Any) -> Any:
-        root = item
-        parent = self._parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:  # path compression
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(self, a: Any, b: Any) -> bool:
-        """Merge the sets holding ``a`` and ``b``; False if already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-    def groups(self) -> list[set[Any]]:
-        by_root: dict[Any, set[Any]] = {}
-        for item in self._parent:
-            by_root.setdefault(self.find(item), set()).add(item)
-        return list(by_root.values())
-
-    def __len__(self) -> int:
-        return len(self._parent)
 
 
 @dataclass

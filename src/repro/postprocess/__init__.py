@@ -1,6 +1,7 @@
 """Match post-processing: clustering, 1-1 enforcement, merging, dedup."""
 
 from repro.postprocess.clustering import (
+    UnionFind,
     cluster_matches,
     enforce_one_to_one,
     merge_matches,
@@ -13,6 +14,7 @@ from repro.postprocess.dedupe import (
 )
 
 __all__ = [
+    "UnionFind",
     "cluster_matches",
     "dedupe_table",
     "duplicate_groups",

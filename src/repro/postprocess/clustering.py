@@ -4,7 +4,9 @@ Section 3 notes that recent EM work considers "post-processing, e.g.,
 clustering and merging matches" part of the problem.  Given the matcher's
 pair-level output, this module:
 
-* clusters matches into entities via connected components (networkx);
+* clusters matches into entities via connected components, computed by
+  :class:`UnionFind` — the one union-find of the package, shared with
+  streaming dedupe and CloudMatcher's fragment decomposition;
 * enforces a one-to-one mapping when each side is internally
   duplicate-free (greedy max-score matching);
 * merges the records of a cluster into a canonical record.
@@ -13,14 +15,73 @@ pair-level output, this module:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any
-
-import networkx as nx
+from typing import Any, Iterable
 
 from repro.table.schema import is_missing
 from repro.table.table import Row, Table
 
 Pair = tuple[Any, Any]
+
+
+class UnionFind:
+    """Disjoint sets with path compression and union by size.
+
+    :meth:`groups` lists the sets in the order their first member was
+    added, so callers that add items in a fixed order get a fixed output.
+    """
+
+    def __init__(self):
+        self._parent: dict[Any, Any] = {}
+        self._size: dict[Any, int] = {}
+
+    def add(self, item: Any) -> None:
+        if item not in self._parent:
+            self._parent[item] = item
+            self._size[item] = 1
+
+    def find(self, item: Any) -> Any:
+        root = item
+        parent = self._parent
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:  # path compression
+            parent[item], item = root, parent[item]
+        return root
+
+    def union(self, a: Any, b: Any) -> bool:
+        """Merge the sets holding ``a`` and ``b``; False if already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+        return True
+
+    def groups(self) -> list[set[Any]]:
+        by_root: dict[Any, set[Any]] = {}
+        for item in self._parent:
+            by_root.setdefault(self.find(item), set()).add(item)
+        return list(by_root.values())
+
+    def __len__(self) -> int:
+        return len(self._parent)
+
+
+def connected_groups(pairs: Iterable[Pair]) -> list[set[Any]]:
+    """Connected components of the graph whose edges are ``pairs``.
+
+    Sorted largest first, ties by the sorted ``str`` of the members.
+    """
+    components = UnionFind()
+    for a, b in pairs:
+        components.add(a)
+        components.add(b)
+        components.union(a, b)
+    groups = components.groups()
+    groups.sort(key=lambda group: (-len(group), sorted(map(str, group))))
+    return groups
 
 
 def cluster_matches(pairs: set[Pair] | list[Pair]) -> list[set[tuple[str, Any]]]:
@@ -30,12 +91,7 @@ def cluster_matches(pairs: set[Pair] | list[Pair]) -> list[set[tuple[str, Any]]]
     key value appearing in both tables stays two distinct nodes.  Returns
     clusters sorted by size (largest first), each a set of qualified ids.
     """
-    graph = nx.Graph()
-    for l_id, r_id in pairs:
-        graph.add_edge(("l", l_id), ("r", r_id))
-    clusters = [set(component) for component in nx.connected_components(graph)]
-    clusters.sort(key=lambda cluster: (-len(cluster), sorted(map(str, cluster))))
-    return clusters
+    return connected_groups((("l", l_id), ("r", r_id)) for l_id, r_id in pairs)
 
 
 def enforce_one_to_one(

@@ -80,8 +80,10 @@ def down_sample(
     for j in range(r_sample.num_rows):
         tokens = _row_tokens(r_sample, r_columns, j)
         # Prefer rare tokens: they identify candidate matches most sharply.
+        # Tokens are walked sorted so equally rare ones tie the same way
+        # under every hash seed.
         postings = sorted(
-            (token_index[t] for t in tokens if t in token_index), key=len
+            (token_index[t] for t in sorted(tokens) if t in token_index), key=len
         )
         picked = 0
         for posting in postings:

@@ -54,13 +54,14 @@ from repro.text.sim.edit_based import Levenshtein
 from repro.text.tokenizers import Tokenizer
 
 _OUTPUT_COLUMNS = ("_id", "l_id", "r_id", "score")
-#: Public ``kernel=`` knob values.  ``"dict"`` pins the scalar backend
-#: (heuristic mask/merge verification); ``"mask"``/``"merge"`` pin the
-#: scalar backend *and* its verification kernel; ``"array"`` pins the
-#: columnar CSR backend of :mod:`repro.perf.arrays`; ``"auto"`` lets the
-#: kernel policy (and any :mod:`repro.plan` override) decide.  All
-#: choices produce byte-identical results.
-KERNELS = ("auto", "dict", "array", "mask", "merge")
+#: Public ``kernel=`` knob values.  ``"dict"`` pins the scalar backend,
+#: which verifies by bitmask popcount while the token universe has at
+#: most :data:`~repro.perf.kernels.MASK_UNIVERSE_MAX` tokens and by a
+#: merge scan above that; ``"array"`` pins the columnar CSR backend of
+#: :mod:`repro.perf.arrays`; ``"auto"`` lets the kernel policy (and any
+#: :mod:`repro.plan` override) decide.  All choices produce
+#: byte-identical results.
+KERNELS = ("auto", "dict", "array")
 
 
 def _string_records(table: Table, key: str, column: str) -> list[tuple]:
@@ -211,7 +212,6 @@ def probe_encoded_batch(
     """
     from repro.perf import arrays
 
-    arrays.require_arrays()
     probe_matrix = arrays.build_probe_matrix(
         [ids for ids, _ in queries], array_index.dim
     )
@@ -326,12 +326,11 @@ def set_sim_join(
     join columns are tokenized with ``tokenizer``, and ``measure`` is one of
     ``jaccard``, ``cosine``, ``dice``, or ``overlap`` (absolute threshold).
     ``n_jobs`` fans the probe side out over a process pool (output is
-    byte-identical to serial).  ``kernel`` selects the probe backend and
-    verification strategy: ``"dict"`` (scalar backend, heuristic
-    verification), ``"mask"`` (scalar, bitmask popcount), ``"merge"``
-    (scalar, merge scan with early exit), ``"array"`` (batched columnar
-    CSR kernels), or ``"auto"`` (policy choice between dict and array;
-    every backend emits byte-identical results).
+    byte-identical to serial).  ``kernel`` selects the probe backend:
+    ``"dict"`` (scalar; bitmask or merge-scan verification by universe
+    size), ``"array"`` (batched columnar CSR kernels), or ``"auto"``
+    (policy choice between the two; every backend emits byte-identical
+    results).
     """
     measure = validate_measure(measure)
     if measure != "overlap" and not 0.0 < threshold <= 1.0:
@@ -381,10 +380,7 @@ def set_sim_join(
     # window and candidate collection is a bulk set.update.
     index = store.prefix_index(encoding, measure, threshold, use_prefix_filter).index
 
-    use_masks = kernel == "mask" or (
-        kernel in ("auto", "dict")
-        and len(encoding.universe) <= MASK_UNIVERSE_MAX
-    )
+    use_masks = len(encoding.universe) <= MASK_UNIVERSE_MAX
     right_masks = store.right_masks(encoding) if use_masks else None
     scorer = make_scorer(measure)
     overlap_bound = make_overlap_bound(measure, threshold)

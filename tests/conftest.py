@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
@@ -36,6 +37,26 @@ def pytest_sessionfinish(session, exitstatus):
     registry = get_registry()
     write_metrics_jsonl(registry, path)
     write_prometheus_text(registry, f"{path}.prom")
+
+
+@pytest.fixture
+def force_verification(monkeypatch):
+    """Pin the dict kernel's verification step for the rest of the test.
+
+    The scalar backend verifies by bitmask popcount while the token
+    universe has at most ``MASK_UNIVERSE_MAX`` tokens and by a merge scan
+    above it; ``force_verification("mask")`` or ``("merge")`` moves that
+    limit so one path runs whatever the universe size.
+    """
+    import repro.index.delta as delta
+    import repro.simjoin.joins as joins
+
+    def force(verify: str) -> None:
+        limit = {"mask": sys.maxsize, "merge": -1}[verify]
+        monkeypatch.setattr(joins, "MASK_UNIVERSE_MAX", limit)
+        monkeypatch.setattr(delta, "MASK_UNIVERSE_MAX", limit)
+
+    return force
 
 
 @pytest.fixture

@@ -8,6 +8,9 @@ the same answer, bit for bit.
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Any, Iterable
+
 import numpy as np
 
 from repro.ml.regression_tree import DecisionTreeRegressor
@@ -140,3 +143,32 @@ def regressor_predict(tree: DecisionTreeRegressor, X: np.ndarray) -> np.ndarray:
 
 def regressor_apply(tree: DecisionTreeRegressor, X: np.ndarray) -> np.ndarray:
     return np.array([leaf_for(tree.root_, row).node_id for row in X], dtype=np.int64)
+
+
+def connected_components(
+    nodes: Iterable[Any], edges: Iterable[tuple[Any, Any]]
+) -> set[frozenset]:
+    """Components of an undirected graph by breadth-first search.
+
+    Every edge endpoint is a node too, so ``nodes`` need only name the
+    isolated ones.
+    """
+    adjacency: dict[Any, set[Any]] = {node: set() for node in nodes}
+    for a, b in edges:
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    seen: set[Any] = set()
+    components = set()
+    for start in adjacency:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = {start}, deque([start])
+        while queue:
+            for neighbour in adjacency[queue.popleft()]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    component.add(neighbour)
+                    queue.append(neighbour)
+        components.add(frozenset(component))
+    return components

@@ -105,13 +105,28 @@ class TestWorkflowDag:
             workflow.add_call("a", DEFAULT_REGISTRY.get("profile_dataset"), after=["zzz"])
 
     def test_cycle_rejected(self):
+        """``after=`` may name only earlier calls, so every edge points forward."""
         workflow = EMWorkflow("w")
         service = DEFAULT_REGISTRY.get("profile_dataset")
         workflow.add_call("a", service)
         workflow.add_call("b", service, after=["a"])
-        workflow.graph.add_edge("b", "a")
         with pytest.raises(WorkflowError):
-            workflow.add_call("c", service, after=["b"])
+            workflow.add_call("c", service, after=["c"])  # self-loop
+        with pytest.raises(WorkflowError):
+            workflow.add_call("c", service, after=["d"])  # forward reference
+        with pytest.raises(WorkflowError):
+            workflow.add_call("a", service, after=["b"])  # re-adding closes a cycle
+        assert len(workflow) == 2  # rejected calls leave no trace
+        assert workflow.predecessors("a") == ()
+        assert [c.node_id for c in workflow.topological_calls()] == ["a", "b"]
+
+    def test_duplicate_predecessors_collapse(self):
+        workflow = EMWorkflow("w")
+        service = DEFAULT_REGISTRY.get("profile_dataset")
+        workflow.add_call("a", service)
+        workflow.add_call("b", service, after=["a", "a"])
+        assert workflow.predecessors("b") == ("a",)
+        assert workflow.successors() == {"a": ["b"], "b": []}
 
     def test_fragments_are_same_kind(self):
         workflow = build_falcon_workflow("t", DEFAULT_REGISTRY)
@@ -121,14 +136,84 @@ class TestWorkflowDag:
             assert kinds == {fragment.kind}
         # every node lands in exactly one fragment
         all_nodes = [call.node_id for fragment in fragments for call in fragment.calls]
-        assert sorted(all_nodes) == sorted(workflow.graph.nodes)
+        assert sorted(all_nodes) == sorted(workflow.successors())
 
     def test_fragment_dag_acyclic_topological(self):
-        import networkx as nx
+        """Every fragment-DAG edge points forward in the returned order."""
+        for use_crowd in (False, True):
+            workflow = build_falcon_workflow("t", DEFAULT_REGISTRY, use_crowd=use_crowd)
+            fragments, fragment_dag = decompose_fragments(workflow)
+            position = {f.fragment_id: i for i, f in enumerate(fragments)}
+            assert set(fragment_dag) == set(position)
+            for source, targets in fragment_dag.items():
+                for target in targets:
+                    assert position[source] < position[target]
 
-        workflow = build_falcon_workflow("t", DEFAULT_REGISTRY)
-        _, fragment_dag = decompose_fragments(workflow)
-        assert nx.is_directed_acyclic_graph(fragment_dag)
+    @pytest.mark.parametrize("use_crowd", [False, True])
+    def test_stock_falcon_decomposition_pinned(self, use_crowd):
+        """Fragment ids, members, order and DAG edges of the stock workflows.
+
+        Recorded from the graph-library implementation this module replaced.
+        Same-kind merging closes a fragment-level cycle in both variants,
+        so every fragment is a singleton (``t/n_<node>``).
+        """
+        workflow = build_falcon_workflow("t", DEFAULT_REGISTRY, use_crowd=use_crowd)
+        order = [
+            "upload", "metadata", "profile", "sample", "blk_features",
+            "match_features", "sample_vectors", "learn_blocking", "extract_rules",
+            "evaluate_rules", "execute_rules", "candidate_vectors",
+            "learn_matching", "train", "apply", "export",
+        ]
+        assert [c.node_id for c in workflow.topological_calls()] == order
+        fragments, fragment_dag = decompose_fragments(workflow)
+        assert [(f.fragment_id, [c.node_id for c in f.calls]) for f in fragments] == [
+            (f"t/n_{node}", [node]) for node in order
+        ]
+        learner = "crowd" if use_crowd else "user_interaction"
+        kinds = {
+            "upload": "user_interaction", "metadata": "user_interaction",
+            "learn_blocking": learner, "evaluate_rules": "user_interaction",
+            "learn_matching": learner,
+        }
+        assert [f.kind.value for f in fragments] == [
+            kinds.get(node, "batch") for node in order
+        ]
+        edges = {
+            "upload": ["metadata", "profile"],
+            "metadata": ["sample"],
+            "profile": ["sample", "blk_features", "match_features"],
+            "sample": ["sample_vectors"],
+            "blk_features": ["sample_vectors"],
+            "sample_vectors": ["learn_blocking"],
+            "learn_blocking": ["extract_rules"],
+            "extract_rules": ["evaluate_rules"],
+            "evaluate_rules": ["execute_rules"],
+            "execute_rules": ["candidate_vectors"],
+            "match_features": ["candidate_vectors"],
+            "candidate_vectors": ["learn_matching"],
+            "learn_matching": ["train"],
+            "train": ["apply"],
+            "apply": ["export"],
+            "export": [],
+        }
+        assert list(fragment_dag.items()) == [
+            (f"t/n_{node}", [f"t/n_{t}" for t in targets])
+            for node, targets in edges.items()
+        ]
+
+    def test_same_kind_chain_is_one_fragment(self):
+        batch = DEFAULT_REGISTRY.get("profile_dataset")
+        user = DEFAULT_REGISTRY.get("edit_metadata")
+        workflow = EMWorkflow("w")
+        workflow.add_call("a", user)
+        workflow.add_call("b", batch, after=["a"])
+        workflow.add_call("c", batch, after=["b"])
+        workflow.add_call("d", user, after=["c"])
+        fragments, fragment_dag = decompose_fragments(workflow)
+        assert [(f.fragment_id, [c.node_id for c in f.calls]) for f in fragments] == [
+            ("w/f0", ["a"]), ("w/f1", ["b", "c"]), ("w/f2", ["d"]),
+        ]
+        assert fragment_dag == {"w/f0": ["w/f1"], "w/f1": ["w/f2"], "w/f2": []}
 
     def test_crowd_variant_retags_learning(self):
         workflow = build_falcon_workflow("t", DEFAULT_REGISTRY, use_crowd=True)

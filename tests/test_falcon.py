@@ -21,11 +21,7 @@ from repro.falcon import (
     run_falcon,
     select_precise_rules,
 )
-from repro.features import (
-    extract_feature_vecs,
-    feature_matrix,
-    get_features_for_blocking,
-)
+from repro.features import get_features_for_blocking
 from repro.labeling import LabelingSession, OracleLabeler
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 
@@ -231,3 +227,56 @@ class TestFalconEndToEnd:
         tp = len(predicted & vehicles.gold_pairs)
         recall = tp / len(vehicles.gold_pairs)
         assert recall < 0.9  # visibly degraded vs the clean scenarios
+
+
+_HASH_SEED_PROBE = """
+from repro.catalog import Catalog
+from repro.datasets import DirtinessConfig, make_em_dataset
+from repro.datasets.entities import restaurant
+from repro.falcon import FalconConfig, run_falcon
+from repro.falcon.falcon import _sample_pairs
+from repro.labeling import LabelingSession, OracleLabeler
+from repro.sampling import down_sample
+
+ds = make_em_dataset(restaurant, 200, 200, match_fraction=0.5,
+                     dirtiness=DirtinessConfig.light(), seed=3, name="hash-seed")
+sample = _sample_pairs(ds, 300, 3, Catalog())
+l_sample, r_sample = down_sample(ds.ltable, ds.rtable, 60, y_param=2, seed=3)
+session = LabelingSession(OracleLabeler(ds.gold_pairs), budget=300)
+result = run_falcon(ds, session, FalconConfig(
+    sample_size=300, blocking_budget=100, matching_budget=200, random_state=3))
+print(list(zip(sample["ltable_id"], sample["rtable_id"])))
+print(l_sample.column("id"), r_sample.column("id"))
+print(result.candset.num_rows, sorted(result.match_pairs))
+"""
+
+
+class TestHashSeedDeterminism:
+    def test_sampling_and_falcon_ignore_hash_seed(self):
+        """Token-set iteration order must not reach the output.
+
+        Python salts ``str`` hashes per process, so set order differs
+        between runs; the sampler, ``down_sample`` and a whole Falcon run
+        break their ties on sorted tokens and print the same thing under
+        any ``PYTHONHASHSEED``.
+        """
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]

@@ -12,17 +12,13 @@ from __future__ import annotations
 
 import os
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.perf.arrays as arrays_module
-from repro.exceptions import ConfigurationError
 from repro.index.delta import LiveIndex
 from repro.index.store import get_index_store
 from repro.obs import use_registry
 from repro.perf.arrays import (
-    HAVE_ARRAYS,
     batch_cosine,
     choose_backend,
     kernel_override,
@@ -34,10 +30,6 @@ from repro.simjoin import probe_encoded, probe_encoded_batch, set_sim_join
 from repro.table.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
 from repro.text.vectorize import cosine, l2_normalize
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_ARRAYS, reason="numpy/scipy not available"
-)
 
 # Small shared alphabet so random tables actually collide.
 WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"]
@@ -297,8 +289,6 @@ class TestKernelResolution:
 
     def test_explicit_backends(self):
         assert choose_backend("dict", 10**6, 10**6) == "dict"
-        assert choose_backend("mask", 10**6, 10**6) == "dict"
-        assert choose_backend("merge", 10**6, 10**6) == "dict"
         assert choose_backend("array", 1, 1) == "array"
 
     def test_auto_policy_thresholds(self):
@@ -314,13 +304,6 @@ class TestKernelResolution:
                 assert choose_backend("auto", 1, 1) == "array"
             assert kernel_override() == "dict"
         assert kernel_override() is None
-
-    def test_array_requires_array_stack(self, monkeypatch):
-        monkeypatch.setattr(arrays_module, "HAVE_ARRAYS", False)
-        with pytest.raises(ConfigurationError):
-            choose_backend("array", 100, 100)
-        # "auto" degrades to dict instead of raising.
-        assert choose_backend("auto", 10**6, 10**6) == "dict"
 
     def test_plan_assigns_kernel_hints(self):
         from repro.plan.optimizer import NodePlan

@@ -459,13 +459,15 @@ class TestObservability:
             gauge = registry.get("index_tombstones", index="obs")
             assert gauge is not None and gauge.value == 0  # reset by compaction
 
-    def test_mask_and_merge_kernels_agree_with_delta(self):
+    def test_mask_and_merge_kernels_agree_with_delta(self, force_verification):
         results = {}
         for kernel in ("mask", "merge"):
+            force_verification(kernel)
             with use_registry(), use_index_store():
                 live = LiveIndex.from_table(
-                    make_table(20), "id", "v", threshold=0.4, kernel=kernel
+                    make_table(20), "id", "v", threshold=0.4, kernel="dict"
                 )
+                assert (live._base.masks is not None) == (kernel == "mask")
                 live.upsert("n1", "dave smith")
                 live.delete("b0")
                 results[kernel] = [live.search(v) for v in VALUES]

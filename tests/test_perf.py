@@ -29,6 +29,7 @@ from repro.features import (
     get_features_for_blocking,
     make_blackbox_feature,
 )
+from repro.index import IndexStore
 from repro.perf import (
     TokenUniverse,
     bounded_overlap,
@@ -233,14 +234,17 @@ class TestSetSimJoinEquivalence:
         ("overlap", 2),
     ])
     @pytest.mark.parametrize("use_prefix_filter", [True, False])
-    @pytest.mark.parametrize("kernel", ["mask", "merge"])
-    def test_matches_naive(self, measure, threshold, use_prefix_filter, kernel):
-        seed = hash((measure, threshold, use_prefix_filter, kernel)) % 1000
+    @pytest.mark.parametrize("verify", ["mask", "merge"])
+    def test_matches_naive(
+        self, measure, threshold, use_prefix_filter, verify, force_verification
+    ):
+        seed = hash((measure, threshold, use_prefix_filter, verify)) % 1000
         ltable, rtable = _random_tables(seed=seed)
         tokenizer = WhitespaceTokenizer(return_set=True)
+        force_verification(verify)
         fast = set_sim_join(
             ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold,
-            use_prefix_filter=use_prefix_filter, kernel=kernel,
+            use_prefix_filter=use_prefix_filter, kernel="dict",
         )
         slow = naive_set_sim_join(
             ltable, rtable, "id", "id", "v", "v", tokenizer, measure, threshold
@@ -257,16 +261,34 @@ class TestSetSimJoinEquivalence:
         slow = naive_set_sim_join(ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5)
         assert _pairs(fast) == _pairs(slow)
 
-    def test_kernels_agree_byte_identical(self):
+    def test_kernels_agree_byte_identical(self, force_verification, monkeypatch):
         ltable, rtable = _random_tables(seed=13)
         tokenizer = WhitespaceTokenizer(return_set=True)
-        mask = set_sim_join(
-            ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5, kernel="mask"
+        mask_builds = []
+        right_masks = IndexStore.right_masks
+        monkeypatch.setattr(
+            IndexStore, "right_masks",
+            lambda store, encoding: mask_builds.append(1) or right_masks(store, encoding),
         )
-        merge = set_sim_join(
-            ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5, kernel="merge"
-        )
-        assert mask == merge
+        results = {}
+        for verify in ("mask", "merge"):
+            force_verification(verify)
+            results[verify] = set_sim_join(
+                ltable, rtable, "id", "id", "v", "v", tokenizer, "jaccard", 0.5,
+                kernel="dict",
+            )
+            # Each run took the verification path it was pinned to.
+            assert len(mask_builds) == 1
+        assert results["mask"] == results["merge"]
+
+    @pytest.mark.parametrize("kernel", ["mask", "merge"])
+    def test_verification_is_not_a_public_kernel(self, kernel):
+        ltable, rtable = _random_tables(seed=1, n=5)
+        with pytest.raises(ConfigurationError):
+            set_sim_join(
+                ltable, rtable, "id", "id", "v", "v",
+                WhitespaceTokenizer(return_set=True), "jaccard", 0.5, kernel=kernel,
+            )
 
     def test_bad_kernel_rejected(self):
         ltable, rtable = _random_tables(seed=1, n=5)

@@ -10,7 +10,6 @@ from repro.reporting import (
     accuracy_section,
     blocking_section,
     em_run_report,
-    matcher_section,
     profile_section,
     render_markdown_table,
 )

@@ -15,7 +15,6 @@ from repro.exceptions import ConfigurationError, WorkflowError
 from repro.runtime import (
     CACHE_HIT,
     CHECKPOINT_SAVED,
-    NODE_FAIL,
     NODE_FINISH,
     NODE_RETRY,
     NODE_START,

@@ -107,14 +107,15 @@ class TestServedEqualsBatch:
         assert served == expected
         assert batch_fallbacks(registry) == 0
 
-    def test_merge_kernel_matches_mask_kernel(self):
+    def test_merge_kernel_matches_mask_kernel(self, force_verification):
         corpus = make_corpus()
         queries = make_queries(20)
         tokenizer = WhitespaceTokenizer(return_set=True)
         results = {}
         for kernel in ("mask", "merge"):
+            force_verification(kernel)
             with use_index_store():
-                config = ServeConfig(threshold=0.4, kernel=kernel, top_k=None)
+                config = ServeConfig(threshold=0.4, kernel="dict", top_k=None)
                 with MatchServer(corpus, "id", "v", tokenizer=tokenizer, config=config) as s:
                     results[kernel] = [s.match(q).candidates for q in queries]
         assert results["mask"] == results["merge"]

@@ -8,7 +8,6 @@ order or interleaved compactions.
 
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +15,12 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError
 from repro.index import use_index_store
 from repro.obs import use_registry
-from repro.pipeline import StreamingDeduper, UnionFind
+from repro.pipeline import StreamingDeduper
+from repro.postprocess import UnionFind, cluster_matches, duplicate_groups
 from repro.simjoin import set_sim_join
 from repro.table import Table
 from repro.text.tokenizers import WhitespaceTokenizer
+from tests.oracles import connected_components
 
 WORDS = ["apple", "banana", "cherry", "grape", "melon", "kiwi", "plum", "fig"]
 
@@ -41,12 +42,9 @@ def batch_clusters(records: list[tuple[str, str]], threshold: float) -> set:
         table, table, "id", "id", "value", "value",
         WhitespaceTokenizer(return_set=True), "jaccard", threshold,
     )
-    graph = nx.Graph()
-    graph.add_nodes_from(table.column("id"))
-    for l_id, r_id in zip(joined.column("l_id"), joined.column("r_id")):
-        if l_id != r_id:
-            graph.add_edge(l_id, r_id)
-    return {frozenset(c) for c in nx.connected_components(graph)}
+    return connected_components(
+        table.column("id"), zip(joined.column("l_id"), joined.column("r_id"))
+    )
 
 
 class TestStreamEqualsBatch:
@@ -182,3 +180,42 @@ class TestUnionFind:
         assert all(uf.find(i) == root for i in range(100))
         # After compression every node points (nearly) straight at the root.
         assert all(uf._parent[i] == root for i in range(99))
+
+
+EDGES = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=25)
+
+
+class TestComponentsAgainstOracle:
+    """The one union-find, and both clustering entry points, vs naive BFS."""
+
+    @given(edges=EDGES, isolated=st.lists(st.integers(0, 20), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_union_find_groups(self, edges, isolated):
+        uf = UnionFind()
+        for node in isolated:
+            uf.add(node)
+        for a, b in edges:
+            uf.add(a)
+            uf.add(b)
+            uf.union(a, b)
+        groups = uf.groups()
+        assert {frozenset(g) for g in groups} == connected_components(isolated, edges)
+        assert len(groups) == len({frozenset(g) for g in groups})
+        assert sum(map(len, groups)) == len(uf)
+
+    @given(edges=EDGES)
+    @settings(max_examples=100, deadline=None)
+    def test_cluster_matches(self, edges):
+        qualified = [(("l", l_id), ("r", r_id)) for l_id, r_id in edges]
+        clusters = cluster_matches(edges)
+        assert {frozenset(c) for c in clusters} == connected_components((), qualified)
+        sizes = [len(c) for c in clusters]
+        assert sizes == sorted(sizes, reverse=True)
+
+    @given(edges=EDGES)
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_groups(self, edges):
+        groups = duplicate_groups(edges)
+        assert {frozenset(g) for g in groups} == connected_components((), edges)
+        sizes = [len(g) for g in groups]
+        assert sizes == sorted(sizes, reverse=True)
